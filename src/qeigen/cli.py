@@ -6,7 +6,8 @@ the same command and config produce byte-identical files.  Wall-clock
 timing is reported on stderr only, so it never perturbs the artifact.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
-dimensions outside 4ℤ and constraints that do not apply).
+dimensions outside 4ℤ and constraints that do not apply), 3 inconclusive
+(the series window or precision could not certify the result either way).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -22,7 +24,10 @@ import mpmath
 
 from . import families, minus, plus, positivity
 from .evaluate import (
+    BadSamplePoint,
     EvalConfig,
+    PoleAt2k,
+    PrecisionLoss,
     SignAnomaly,
     eval_F,
     functional_eq_check,
@@ -32,8 +37,9 @@ from .evaluate import (
 )
 from .families import FamilyKey, MismatchBeyondScalar
 from .forms import GeneratorId, InvalidId, generator
-from .plus import BadDimension, ConstraintUnavailable, NoSolution
+from .pole import BadDimension, ConstraintUnavailable, NoSolution
 from .positivity import DecompositionFailure
+from .qseries import TruncationTooSmall
 
 ARTIFACT_VERSION = 1
 
@@ -277,14 +283,51 @@ def cmd_positivity(args) -> int:
     return 0 if all_ok else 1
 
 
+def _form_ids(text: str) -> list[tuple[str, GeneratorId]]:
+    """Parse a --forms list like "E4,Omega:3" into (token, GeneratorId) pairs."""
+    out = []
+    for token in text.split(","):
+        name, *bits = token.strip().split(":")
+        out.append((token.strip(), GeneratorId(name, tuple(int(b) for b in bits))))
+    return out
+
+
 def cmd_dump_forms(args) -> int:
     payload = {}
-    for token in args.forms.split(","):
-        bits = token.strip().split(":")
-        gid = GeneratorId(bits[0], tuple(int(b) for b in bits[1:]))
-        payload[token.strip()] = generator(gid, args.trunc).to_json()
+    for token, gid in _form_ids(args.forms):
+        payload[token] = generator(gid, args.trunc).to_json()
     _emit(RunRecord("dump-forms", {"trunc": args.trunc, "forms": args.forms}, payload), args.out)
     return 0
+
+
+def _arg(convert, check):
+    """argparse type: ``convert`` the text, then ``check`` the value; a
+    ValueError from either is a usage error (exit 2).  The value is what
+    ``convert`` returns, so the config echo in artifacts is unchanged."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
+def _radius(x: float) -> None:
+    if not 0 <= x < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {x}")
+
+
+def _step(x: float) -> None:
+    if not 0 < x < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {x}")
+
+
+_TRUNC = _arg(int, lambda n: EvalConfig(n_trunc=n))  # floors live in EvalConfig
+_PRECISION = _arg(int, lambda bits: EvalConfig(precision=bits))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -302,7 +345,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--sign", choices=("plus", "minus"), required=True)
             p.add_argument("--origin-zero", action="store_true",
                            help="apply the extra vanishing constraint at the origin")
-        p.add_argument("--trunc", type=int, default=64, metavar="N",
+        p.add_argument("--trunc", type=_TRUNC, default=64, metavar="N",
                        help="series window O(q^N) (default 64)")
         p.add_argument("--out", metavar="PATH", help="artifact path (default stdout)")
 
@@ -312,15 +355,15 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the radial profile F")
     common(p)
-    p.add_argument("--precision", type=int, default=256, metavar="BITS")
-    p.add_argument("--at", type=float, help="single radius instead of a profile")
+    p.add_argument("--precision", type=_PRECISION, default=256, metavar="BITS")
+    p.add_argument("--at", type=_arg(float, _radius), help="single radius instead of a profile")
     p.add_argument("--rmax", type=float, default=4.0)
-    p.add_argument("--rstep", type=float, default=0.0625)
+    p.add_argument("--rstep", type=_arg(float, _step), default=0.0625)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run one verification check")
     common(p)
-    p.add_argument("--precision", type=int, default=256, metavar="BITS")
+    p.add_argument("--precision", type=_PRECISION, default=256, metavar="BITS")
     p.add_argument("--check", required=True,
                    choices=("functional", "orders", "ode", "cross", "positivity", "signs"))
     p.set_defaults(func=cmd_verify)
@@ -341,7 +384,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-forms", help="dump generator q-expansions as JSON")
     common(p, dim=False)
-    p.add_argument("--forms", default="E2,E4,E6,Delta,J,Theta00_4,Theta01_4,Theta10_4,Lambda",
+    p.add_argument("--forms", type=_arg(str, _form_ids),
+                   default="E2,E4,E6,Delta,J,Theta00_4,Theta01_4,Theta10_4,Lambda",
                    help="comma list; integer arguments after colons, e.g. Omega:3")
     p.set_defaults(func=cmd_dump_forms)
 
@@ -362,6 +406,9 @@ def main(argv=None) -> int:
     except (NoSolution, MismatchBeyondScalar, DecompositionFailure, SignAnomaly) as exc:
         print(f"verification failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except (TruncationTooSmall, PrecisionLoss, BadSamplePoint, PoleAt2k) as exc:
+        print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(f"{args.command}: {time.monotonic() - started:.2f}s", file=sys.stderr)
     return status
 

@@ -1,8 +1,9 @@
 """Weight-graded families f_w and φ_w built from three-term recurrences.
 
-The solvers in plus.py and minus.py pin each dimension separately through
-linear algebra on pole orders.  This module constructs the same forms a
-second, independent way: as two weight-indexed sequences
+The plus and minus solvers pin one dimension at a time through linear
+algebra on pole orders (the shared scaffold in pole.py).  This module
+constructs the same forms a second, independent way: as two weight-indexed
+sequences
 
     f_w = A + E2·B + E2²·C            (depth-2 quasimodular, weight w)
     φ_w = v + u·log λ                 (level-two object of weight w)

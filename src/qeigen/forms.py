@@ -229,10 +229,11 @@ _CHI_TABLE: dict[tuple[int, int], tuple[list[int], int, int]] = {
 }
 
 
-def _eval_poly(coeffs: list[int], x: QSeries, trunc2: int) -> QSeries:
-    acc = QSeries.const(coeffs[-1], trunc2)
+def eval_poly(coeffs, x: QSeries) -> QSeries:
+    """Horner evaluation of Σ coeffs[i]·x^i on the window of x."""
+    acc = QSeries.const(coeffs[-1], x.trunc2)
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + QSeries.const(c, trunc2)
+        acc = acc * x + QSeries.const(c, x.trunc2)
     return acc
 
 
@@ -246,13 +247,11 @@ def chi_fraction(i: int, k: int) -> tuple[tuple[int, ...], int, int]:
 
 
 def _chi(i: int, k: int, n: int) -> QSeries:
-    if (i, k) not in _CHI_TABLE:
-        raise InvalidId(f"chi index (i={i}, k={k}) outside the catalog")
-    num, a, b = _CHI_TABLE[(i, k)]
+    num, a, b = chi_fraction(i, k)
     m = n + _PAD
     th00 = _theta00_4(m)
     lam = (_theta10_4(m) / th00).truncate2(2 * m)
-    out = _eval_poly(num, lam, 2 * m)
+    out = eval_poly(num, lam)
     if a:
         out = out / lam**a
     if b:
@@ -460,19 +459,8 @@ class QuasiForm:
     def scale(self, r) -> "QuasiForm":
         return self.map(lambda s: s.scale(r))
 
-    def mul_modular(self, m: QSeries, m_weight: int) -> "QuasiForm":
-        """Multiply by a plain modular form (depth preserved)."""
-        return QuasiForm(
-            self.weight + m_weight, self.A * m, self.B * m, self.C * m
-        )
-
     def is_zero(self) -> bool:
         return self.A.is_zero() and self.B.is_zero() and self.C.is_zero()
-
-
-def quasiform_zero(weight: int, trunc2: int) -> QuasiForm:
-    z = QSeries.zero(trunc2)
-    return QuasiForm(weight, z, z, z)
 
 
 def serre_derivative(f: QuasiForm) -> QuasiForm:
@@ -525,97 +513,6 @@ def rankin_cohen(f: QSeries, g: QSeries, n: int, k: int, l: int) -> QSeries:
         term = (df[i] * dg[n - i]).scale((-1) ** i * comb(n + k - 1, n - i) * comb(n + l - 1, i))
         out = term if out is None else out + term
     return out
-
-
-# ---------------------------------------------------------------------------
-# formal polynomials in E2 (arbitrary depth; used by the bracket descent)
-# ---------------------------------------------------------------------------
-
-
-class EPoly:
-    """Polynomial in a formal variable X standing for E2, with QSeries
-    coefficients.  Derivation uses X' = (X² − E4)/12 so that substituting
-    X = E2 commutes with q d/dq."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: list[QSeries]):
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_quasiform(cls, f: QuasiForm) -> "EPoly":
-        return cls([f.A, f.B, f.C])
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "EPoly") -> "EPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            if i < len(self.coeffs) and i < len(other.coeffs):
-                out.append(self.coeffs[i] + other.coeffs[i])
-            elif i < len(self.coeffs):
-                out.append(self.coeffs[i])
-            else:
-                out.append(other.coeffs[i])
-        return EPoly(out)
-
-    def __sub__(self, other: "EPoly") -> "EPoly":
-        return self + other.scale(-1)
-
-    def scale(self, r) -> "EPoly":
-        return EPoly([c.scale(r) for c in self.coeffs])
-
-    def mul_series(self, s: QSeries) -> "EPoly":
-        return EPoly([c * s for c in self.coeffs])
-
-    def __mul__(self, other: "EPoly") -> "EPoly":
-        t2 = min(
-            min(c.trunc2 for c in self.coeffs), min(c.trunc2 for c in other.coeffs)
-        )
-        out: list[QSeries | None] = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                p = a * b
-                out[i + j] = p if out[i + j] is None else out[i + j] + p
-        final = [QSeries.zero(t2) if c is None else c for c in out]
-        return EPoly(final)
-
-    def derive(self) -> "EPoly":
-        """Termwise q d/dq with the chain rule through X' = (X²−E4)/12."""
-        t2 = min(c.trunc2 for c in self.coeffs)
-        e4 = generator(GeneratorId("E4"), (t2 - min(0, min(c.lo2 for c in self.coeffs))) // 2 + 1)
-        n = len(self.coeffs)
-        out: list[QSeries] = [QSeries.zero(t2) for _ in range(n + 1)]
-        for i, c in enumerate(self.coeffs):
-            out[i] = out[i] + c.derive()
-            if i:
-                di = c.scale(rational(i) / 12)
-                out[i + 1] = out[i + 1] + di  # from i X^{i-1} · X²/12
-                out[i - 1] = out[i - 1] - di * e4  # from −i X^{i-1} E4/12
-        return EPoly(out)
-
-    def full_series(self) -> QSeries:
-        e2 = _e2_matching(*self.coeffs)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * e2 + c
-        t2 = min(ci.trunc2 for ci in self.coeffs)
-        return acc.truncate2(min(t2, acc.trunc2))
-
-    def to_quasiform(self, weight: int) -> QuasiForm:
-        if self.degree() > 2:
-            raise ValueError(f"depth {self.degree()} exceeds 2; not a QuasiForm")
-        t2 = min(c.trunc2 for c in self.coeffs)
-        cs = list(self.coeffs) + [QSeries.zero(t2)] * (3 - len(self.coeffs))
-        return QuasiForm(weight, cs[0], cs[1], cs[2])
 
 
 # ---------------------------------------------------------------------------

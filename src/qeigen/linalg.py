@@ -57,10 +57,6 @@ def kernel_basis(rows: list[list], ncols: int) -> list[list]:
     return basis
 
 
-def rank(rows: list[list]) -> int:
-    return len(rref(rows)[1]) if rows else 0
-
-
 def primitive_integer_vector(v: list) -> list[int]:
     """Scale a rational vector to coprime integers, keeping its direction."""
     from math import gcd

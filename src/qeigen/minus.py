@@ -15,7 +15,8 @@ and the S-transformed combination
 — a series in half-integer powers of q only — must vanish to the maximal
 achievable order 2n + b(k)/2.  Dimensions in the extra-freedom congruence
 classes keep a second basis vector when only the required order ℓ + 1/2 is
-imposed, which feeds the origin-constrained variant.
+imposed, which feeds the origin-constrained variant.  The shared scaffold in
+``pole`` solves and normalises the system; this module supplies the rest.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import pole
 from .expansion import PsiExpansion, SymbolicScalar, TaggedSeries
-from .forms import IdentityViolation, chi_fraction, gen, log_lambda, log_lambda_S
-from .linalg import kernel_basis, primitive_integer_vector
-from .plus import BadDimension, ConstraintUnavailable, NoSolution
+from .forms import IdentityViolation, chi_fraction, eval_poly, gen, log_lambda, log_lambda_S
+from .pole import BadDimension, ConstraintUnavailable, NoSolution
 from .qseries import QSeries, rational, rational_str
 
 B_OF_K = (3, 3, 5, 5, 7, 7)
@@ -54,8 +55,7 @@ class MinusParams:
 
 
 def minus_params(d: int) -> MinusParams:
-    if d < 4 or d % 4:
-        raise BadDimension(f"need d ≡ 0 (mod 4) and d ≥ 4, got {d}")
+    pole.check_dimension(d)
     ell = -(-(d - 4) // 24)
     k = 6 * ell - (d - 4) // 4
     b_k = B_OF_K[k]
@@ -81,114 +81,8 @@ class MinusSolution:
 
 
 # ---------------------------------------------------------------------------
-# λ-power reduction
-# ---------------------------------------------------------------------------
-
-
-def _pnorm(c) -> tuple:
-    if isinstance(c, (tuple, list)):
-        return tuple(rational(x) for x in c)
-    return (rational(c),)
-
-
-def _padd(a, b) -> tuple:
-    out = []
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else rational(0)
-        y = b[i] if i < len(b) else rational(0)
-        out.append(x + y)
-    return tuple(out)
-
-
-def _pscale(p, c) -> tuple:
-    c = rational(c)
-    return tuple(c * x for x in p)
-
-
-def _jshift(p) -> tuple:
-    return (rational(0),) + tuple(p)
-
-
-def _lambda_poly_series(polys, n: int) -> QSeries:
-    """Expansion of Σ_m c_m(j)·λ^m to window O(q^n)."""
-    jdeg = max((len(t) - 1 for t in polys if any(t)), default=0)
-    m = n + 2 * jdeg + 6
-    lam = gen("Lambda", m)
-    js = gen("J", m)
-    jpow = [QSeries.one(2 * m)]
-    for _ in range(jdeg):
-        jpow.append(jpow[-1] * js)
-    lampow = QSeries.one(lam.trunc2)
-    acc = QSeries.zero(2 * n, 1)
-    for t in polys:
-        if any(t):
-            term = None
-            for c, jp in zip(t, jpow):
-                if c:
-                    piece = jp.scale(c)
-                    term = piece if term is None else term + piece
-            acc = acc + term * lampow
-        lampow = lampow * lam
-    return acc.truncate2(2 * n)
-
-
-def reduce_lambda_powers(p, n_check: int = 24):
-    """Rewrite Σ_i c_i(j)·λ^i with powers λ^m, m ≤ 5, using the degree-six
-    relation between λ and j = 256(1−λ+λ²)³/(λ²(1−λ)²):
-
-        λ^6 = 3λ^5 − (6 − j/256)λ^4 + (7 − j/128)λ^3 − (6 − j/256)λ^2 + 3λ − 1.
-
-    Coefficients may be scalars or ascending j-polynomials.  The rewrite is
-    re-verified by series substitution to order n_check; a mismatch raises
-    IdentityViolation (it would mean the relation itself is corrupted)."""
-    cs = [_pnorm(c) for c in p]
-    original = [tuple(t) for t in cs]
-    q256 = rational(Fraction(1, 256))
-    q128 = rational(Fraction(1, 128))
-    while len(cs) > 6:
-        top = cs.pop()
-        if not any(top):
-            continue
-        deg = len(cs)  # the power just removed
-        near = _padd(_pscale(top, -6), _jshift(_pscale(top, q256)))  # −(6 − j/256)·top
-        cs[deg - 1] = _padd(cs[deg - 1], _pscale(top, 3))
-        cs[deg - 2] = _padd(cs[deg - 2], near)
-        cs[deg - 3] = _padd(cs[deg - 3], _padd(_pscale(top, 7), _jshift(_pscale(top, -q128))))
-        cs[deg - 4] = _padd(cs[deg - 4], near)
-        cs[deg - 5] = _padd(cs[deg - 5], _pscale(top, 3))
-        cs[deg - 6] = _padd(cs[deg - 6], _pscale(top, -1))
-    while len(cs) < 6:
-        cs.append(())
-    out = [tuple(t) for t in cs]
-    diff = _lambda_poly_series(original, n_check) - _lambda_poly_series(out, n_check)
-    if not diff.is_zero():
-        raise IdentityViolation(
-            f"λ-power reduction fails substitution check at q^{diff.valuation2()}/2"
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # series building blocks
 # ---------------------------------------------------------------------------
-
-
-def _degrees(params: MinusParams) -> tuple[int, int, int]:
-    dx, dy, dz = DEG_OFFSETS_MINUS[params.k]
-    return params.n + dx, params.n + dy, params.n + dz
-
-
-def _work_order(params: MinusParams, n_trunc: int) -> int:
-    degx, degy, degz = _degrees(params)
-    top = max(degx, degy, degz, 0)
-    return n_trunc + 2 * top + 2 * params.ell + 8
-
-
-def _poly_at(coeffs, x: QSeries) -> QSeries:
-    acc = QSeries.const(coeffs[-1], x.trunc2)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + QSeries.const(c, x.trunc2)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -215,16 +109,12 @@ def _pieces(k: int, top: int, n_work: int) -> _Pieces:
     chis = []
     for i in (1, 2):
         num, a, b = chi_fraction(i, k)
-        s = _poly_at(num, lam1)
+        s = eval_poly(num, lam1)
         if a:
             s = s / lam1**a
         if b:
             s = s / lam**b
         chis.append((s * thk).scale(sgn))
-    js = gen("J", n_work)
-    jpow = [QSeries.one(2 * n_work)]
-    for _ in range(top):
-        jpow.append(jpow[-1] * js)
     return _Pieces(
         k,
         gen("Chi", n_work, 1, k),
@@ -233,74 +123,48 @@ def _pieces(k: int, top: int, n_work: int) -> _Pieces:
         chis[1],
         gen("Omega", n_work, k),
         log_lambda_S(n_work),
-        tuple(jpow),
+        pole.j_powers(top, n_work),
     )
 
 
-def _s_columns(pieces: _Pieces, degs) -> tuple[list, list, list]:
-    degx, degy, degz = degs
-    base_x = pieces.omega_k * pieces.logS
-    cols = (
-        [base_x * pieces.jpow[i] for i in range(degx + 1)],
-        [pieces.chiS1 * pieces.jpow[i] for i in range(degy + 1)],
-        [pieces.chiS2 * pieces.jpow[i] for i in range(degz + 1)],
-    )
-    for block in cols:
-        for col in block:
-            if not col.even_part().is_zero():
-                raise IdentityViolation(
-                    f"S-side column for k={pieces.k} has integer-exponent terms"
-                )
+def _s_columns(pieces: _Pieces, degs) -> list:
+    """S-side columns over X|Y|Z; each carries half-integer exponents only."""
+    bases = (pieces.omega_k * pieces.logS, pieces.chiS1, pieces.chiS2)
+    cols = [base * jp for base, deg in zip(bases, degs) for jp in pieces.jpow[: deg + 1]]
+    for col in cols:
+        if not col.even_part().is_zero():
+            raise IdentityViolation(f"S-side column for k={pieces.k} has integer-exponent terms")
     return cols
 
 
-def _direct_columns(pieces: _Pieces, degs) -> tuple[list, list]:
-    _, degy, degz = degs
-    return (
-        [pieces.chi1 * pieces.jpow[i] for i in range(degy + 1)],
-        [pieces.chi2 * pieces.jpow[i] for i in range(degz + 1)],
+@dataclass(frozen=True)
+class _Setup:
+    """Columns shared by the solve and the origin constraint at one window:
+    the log-term form f over X, the direct side over Y|Z and the S side over
+    X|Y|Z."""
+
+    degs: tuple
+    n_work: int
+    f_cols: list
+    direct_cols: list
+    s_cols: list
+    dinv: QSeries
+
+
+def _setup(params: MinusParams, n_trunc: int) -> _Setup:
+    degs = pole.degrees(params, DEG_OFFSETS_MINUS)
+    n_work = pole.work_order(params, degs, n_trunc)
+    pieces = _pieces(params.k, max(*degs, 0), n_work)
+    jpow = pieces.jpow
+    chis = (pieces.chi1, pieces.chi2)
+    return _Setup(
+        degs,
+        n_work,
+        [pieces.omega_k * jp for jp in jpow[: degs[0] + 1]],
+        [chi * jp for chi, deg in zip(chis, degs[1:]) for jp in jpow[: deg + 1]],
+        _s_columns(pieces, degs),
+        pole.delta_inverse(params.ell, n_work),
     )
-
-
-def _lincomb(coeffs, series, fallback_t2: int, step: int = 2) -> QSeries:
-    out = None
-    for c, s in zip(coeffs, series):
-        if c:
-            term = s.scale(c)
-            out = term if out is None else out + term
-    return QSeries.zero(fallback_t2, step) if out is None else out
-
-
-def _split(vec, degs):
-    nx, ny, nz = (max(deg + 1, 0) for deg in degs)
-    return tuple(vec[:nx]), tuple(vec[nx : nx + ny]), tuple(vec[nx + ny : nx + ny + nz])
-
-
-def _system_rows(pieces: _Pieces, degs, n: int, s_target2: int):
-    """One row per killed Laurent coefficient: the direct side below q^{−n−1}
-    and the S side below q^(s_target2/2)."""
-    degx = degs[0]
-    nx = max(degx + 1, 0)
-    ycols, zcols = _direct_columns(pieces, degs)
-    sx, sy, sz = _s_columns(pieces, degs)
-    rows = []
-    direct = ycols + zcols
-    lows = [v for c in direct if (v := c.valuation2()) is not None]
-    for e2 in range(min(lows, default=0), -2 * n - 2):
-        rows.append([rational(0)] * nx + [c.coef2(e2) for c in direct])
-    scols = sx + sy + sz
-    lows = [v for c in scols if (v := c.valuation2()) is not None]
-    for e2 in range(min(lows, default=s_target2), s_target2):
-        rows.append([c.coef2(e2) for c in scols])
-    return rows, nx + len(ycols) + len(zcols)
-
-
-def _fix_sign(x, y, z, vec):
-    for poly in (x, y, z):
-        lead = next((c for c in reversed(poly) if c), None)
-        if lead is not None:
-            return [-t for t in vec] if lead < 0 else list(vec)
-    raise NoSolution("zero vector escaped the kernel computation")
 
 
 def _trim(poly) -> tuple:
@@ -310,73 +174,42 @@ def _trim(poly) -> tuple:
     return tuple(out)
 
 
-def s_transform_minus(k: int, x, y, z, n: int) -> QSeries:
-    """q-expansion of z^{−2k}(X(j)·ω_k(Sz)·log λ(Sz) + χ1(Sz)·Y(j) + χ2(Sz)·Z(j))
-    to window O(q^n).  ω_k(Sz) picks up exactly z^{2k} (it is modular of weight
-    2k on the full group), χ_i(Sz)·z^{−2k} substitutes λ ↦ 1−λ with a (−θ00^4)^k
-    prefactor, and log λ(Sz) has the pure half-integer expansion
-    −16 Σ σ1(2k+1)/(2k+1)·q^{k+1/2}; the result carries half-integer exponents
-    only."""
-    x, y, z = _pnorm(x) if x else (), _pnorm(y) if y else (), _pnorm(z) if z else ()
-    degs = (len(x) - 1, len(y) - 1, len(z) - 1)
-    top = max(*degs, 0)
-    n_work = n + 2 * top + 4
-    pieces = _pieces(k, top, n_work)
-    sx, sy, sz = _s_columns(pieces, degs)
-    t2 = 2 * n_work
-    out = _lincomb(x, sx, t2, 1) + _lincomb(y, sy, t2, 1) + _lincomb(z, sz, t2, 1)
-    return out.truncate2(2 * n)
-
-
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
 
 
+def _default_trunc(params: MinusParams) -> int:
+    return max(2 * params.n + params.b_k + params.ell + 8, 16)
+
+
 def solve_minus(d: int, n_trunc: int | None = None) -> MinusSolution:
     """Solve the pole-order system for dimension d; the representative is the
     primitive-integer generator with leading coefficient positive in the first
-    nonzero slot among X, Y, Z.  When d has the extra degree of freedom, the
-    relaxed two-dimensional space is retained for apply_origin_constraint."""
+    nonzero slot among X, Y, Z (``pole.normalize``).  When d has the extra
+    degree of freedom, the relaxed two-dimensional space is retained for
+    apply_origin_constraint."""
     params = minus_params(d)
     if n_trunc is None:
-        n_trunc = max(2 * params.n + params.b_k + params.ell + 8, 16)
-    n_work = _work_order(params, n_trunc)
-    degs = _degrees(params)
-    pieces = _pieces(params.k, max(*degs, 0), n_work)
-
-    rows, nunk = _system_rows(pieces, degs, params.n, 4 * params.n + params.b_k)
-    kern = kernel_basis(rows, nunk)
-    if len(kern) != 1:
-        raise NoSolution(f"d={d}: tight system has kernel dimension {len(kern)}, expected 1")
-    vec = [rational(t) for t in primitive_integer_vector(list(kern[0]))]
-    vec = _fix_sign(*_split(vec, degs), vec)
-
-    relaxed = None
-    if params.extra_dof:
-        relaxed_rows, _ = _system_rows(pieces, degs, params.n, 2 * params.ell + 1)
-        rk = kernel_basis(relaxed_rows, nunk)
-        if len(rk) != 2:
-            raise NoSolution(
-                f"d={d}: relaxed system has kernel dimension {len(rk)}, expected 2"
-            )
-        relaxed = tuple(tuple(v) for v in rk)
-
-    return _build_solution(params, vec, pieces, n_work, n_trunc, relaxed, tight=True)
+        n_trunc = _default_trunc(params)
+    st = _setup(params, n_trunc)
+    nx = len(st.f_cols)
+    direct_rows = [
+        [rational(0)] * nx + row for row in pole.rows_below(st.direct_cols, -2 * params.n - 2, 1)
+    ]
+    vec, relaxed = pole.solve_system(
+        params, st.degs, direct_rows, st.s_cols, 1, 4 * params.n + params.b_k, 2 * params.ell + 1
+    )
+    return _build_solution(params, vec, st, n_trunc, relaxed, tight=True)
 
 
-def _build_solution(
-    params, vec, pieces, n_work, n_trunc, relaxed, *, tight: bool
-) -> MinusSolution:
-    degs = _degrees(params)
-    x, y, z = _split(vec, degs)
-    ycols, zcols = _direct_columns(pieces, degs)
-    sx, sy, sz = _s_columns(pieces, degs)
-    t2w = 2 * n_work
+def _build_solution(params, vec, st: _Setup, n_trunc, relaxed, *, tight: bool) -> MinusSolution:
+    x, y, z = pole.split(vec, st.degs)
+    t2w = 2 * st.n_work
 
-    f_num = _lincomb(x, [pieces.omega_k * jp for jp in pieces.jpow], t2w)
-    w_num = _lincomb(y, ycols, t2w) + _lincomb(z, zcols, t2w)
-    s_num = _lincomb(x, sx, t2w, 1) + _lincomb(y, sy, t2w, 1) + _lincomb(z, sz, t2w, 1)
+    f_num = pole.lincomb(x, st.f_cols, t2w)
+    w_num = pole.lincomb(y + z, st.direct_cols, t2w)
+    s_num = pole.lincomb(vec, st.s_cols, t2w, 1)
 
     vw = w_num.valuation2()
     if vw is not None and vw < -2 * params.n - 2:
@@ -392,19 +225,7 @@ def _build_solution(
         if vs is not None and vs < 2 * params.ell + 1:
             raise NoSolution(f"d={params.d}: S-side violates the required order ℓ+1/2")
 
-    dinv = QSeries.one(t2w) if params.ell == 0 else (gen("Delta", n_work) ** params.ell).invert()
-    t2 = 2 * n_trunc
-
-    def cut(s: QSeries) -> QSeries:
-        if s.trunc2 < t2:
-            raise NoSolution(
-                f"d={params.d}: internal window {s.trunc2} fell below requested {t2}"
-            )
-        return s.truncate2(t2)
-
-    f = cut(f_num * dinv)
-    omega = cut(w_num * dinv)
-    psiS = cut(s_num * dinv)
+    f, omega, psiS = (pole.cut(params.d, s * st.dinv, n_trunc) for s in (f_num, w_num, s_num))
 
     if f.coef(-params.n_minus):
         raise NoSolution(f"d={params.d}: log-term form has a pole of full depth {params.n_minus}")
@@ -418,35 +239,18 @@ def apply_origin_constraint(sol: MinusSolution, n_trunc: int | None = None) -> M
     """Within the relaxed two-dimensional space, return the unique (up to
     scalar) element whose eigenfunction vanishes at the origin: b_0 = 0, i.e.
     the constant coefficient of the log-term form f is zero."""
+    pole.require_relaxed(sol, "solve_minus")
     params = sol.params
-    if not params.extra_dof:
-        raise ConstraintUnavailable(
-            f"d={params.d} has no extra degree of freedom (d mod 48 = {params.d % 48})"
-        )
-    if sol.relaxed_basis is None:
-        raise ConstraintUnavailable("solution lacks the relaxed basis; re-run solve_minus")
     if n_trunc is None:
-        n_trunc = max(2 * params.n + params.b_k + params.ell + 8, 16)
-    n_work = _work_order(params, n_trunc)
-    degs = _degrees(params)
-    pieces = _pieces(params.k, max(*degs, 0), n_work)
-    dinv = QSeries.one(2 * n_work) if params.ell == 0 else (
-        gen("Delta", n_work) ** params.ell
-    ).invert()
-    fcols = [pieces.omega_k * jp for jp in pieces.jpow]
+        n_trunc = _default_trunc(params)
+    st = _setup(params, n_trunc)
 
     def b0_functional(vec):
-        x, _, _ = _split(vec, degs)
-        return (_lincomb(x, fcols, 2 * n_work) * dinv).coef(0)
+        x, _, _ = pole.split(vec, st.degs)
+        return (pole.lincomb(x, st.f_cols, 2 * st.n_work) * st.dinv).coef(0)
 
-    v1, v2 = sol.relaxed_basis
-    c1, c2 = b0_functional(v1), b0_functional(v2)
-    if not c1 and not c2:
-        raise NoSolution(f"d={params.d}: origin constraint is degenerate on the space")
-    combo = [c2 * a - c1 * b for a, b in zip(v1, v2)]
-    vec = [rational(t) for t in primitive_integer_vector(combo)]
-    vec = _fix_sign(*_split(vec, degs), vec)
-    out = _build_solution(params, vec, pieces, n_work, n_trunc, sol.relaxed_basis, tight=False)
+    vec = pole.origin_vector(sol, b0_functional, st.degs)
+    out = _build_solution(params, vec, st, n_trunc, sol.relaxed_basis, tight=False)
     if out.f_series.coef(0):
         raise NoSolution(f"d={params.d}: constrained combination still has b_0 ≠ 0")
     return out

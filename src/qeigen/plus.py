@@ -10,7 +10,8 @@ unknowns of a homogeneous linear system imposing two pole-order conditions:
 the z-coefficient series ψ2 − E2 ψ3 must be O(q^{−n+1}), and Φ itself must
 vanish to the maximal achievable order 2n + a(k) − 1 (one more than needed
 when d falls in the extra-freedom congruence classes, which is what makes a
-second, origin-constrained eigenfunction possible).
+second, origin-constrained eigenfunction possible).  The shared scaffold in
+``pole`` solves and normalises the system; this module supplies the rest.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import pole
 from .expansion import PsiExpansion, SymbolicScalar, TaggedSeries
-from .forms import GeneratorId, generator
-from .linalg import kernel_basis, primitive_integer_vector
+from .forms import gen
+from .pole import BadDimension, ConstraintUnavailable, NoSolution
 from .qseries import QSeries, rational, rational_str
 
 A_OF_K = (1, 1, 2, 2, 3, 3)
@@ -36,18 +38,6 @@ DEG_OFFSETS = {
 EXTRA_RESIDUES_PLUS = {0, 12, 16, 28, 32, 44}
 
 
-class BadDimension(ValueError):
-    """Dimension outside the d ≡ 0 (mod 4), d ≥ 4 range."""
-
-
-class NoSolution(RuntimeError):
-    """The constraint system has unexpected rank; indicates a bug upstream."""
-
-
-class ConstraintUnavailable(ValueError):
-    """Origin constraint requested without the extra degree of freedom."""
-
-
 @dataclass(frozen=True)
 class PlusParams:
     d: int
@@ -60,8 +50,7 @@ class PlusParams:
 
 
 def plus_params(d: int) -> PlusParams:
-    if d < 4 or d % 4:
-        raise BadDimension(f"need d ≡ 0 (mod 4) and d ≥ 4, got {d}")
+    pole.check_dimension(d)
     ell = -(-d // 24)
     k = 6 * ell - d // 4
     a_k = A_OF_K[k]
@@ -85,156 +74,62 @@ class PlusSolution:
     relaxed_basis: tuple | None = None  # two (P,Q,R) triples when extra_dof
 
 
-def _degrees(params: PlusParams) -> tuple[int, int, int]:
-    dp, dq, dr = DEG_OFFSETS[params.k]
-    return params.n + dp, params.n + dq, params.n + dr
+@dataclass(frozen=True)
+class _Setup:
+    """Columns shared by the solve and the origin constraint at one window:
+    the slot blocks ω_{k+2}·j^i, ω_{k+1}·j^i, ω_k·j^i, and over P|Q|R the
+    g-series ψ2 − E2·ψ3 and Φ in stuff space (before the division by Δ^ℓ)."""
+
+    degs: tuple
+    n_work: int
+    basis: tuple
+    g_cols: list
+    phi_cols: list
+    e2: QSeries
+    dinv: QSeries
 
 
-def _work_order(params: PlusParams, n_trunc: int) -> int:
-    """Internal expansion order: pole depths (j-powers, ω1, Δ^{-ℓ}) each eat
-    window, so pad the requested order by the total possible loss."""
-    degp, degq, degr = _degrees(params)
-    top = max(degp, degq, degr, 0)
-    return n_trunc + 2 * top + 2 * params.ell + 8
-
-
-def _poly_basis(params: PlusParams, n_work: int):
-    """Series ω_{k+2}·j^i, ω_{k+1}·j^i, ω_k·j^i spanning the three slots."""
+def _setup(params: PlusParams, n_trunc: int) -> _Setup:
+    degs = pole.degrees(params, DEG_OFFSETS)
+    n_work = pole.work_order(params, degs, n_trunc)
+    jpow = pole.j_powers(max(*degs, 0), n_work)
     k = params.k
-    degp, degq, degr = _degrees(params)
-    top = max(degp, degq, degr, 0)
-    j = generator(GeneratorId("J"), n_work)
-    jpow = [QSeries.one(2 * n_work)]
-    for _ in range(top):
-        jpow.append(jpow[-1] * j)
-
-    def block(m: int, deg: int):
-        om = generator(GeneratorId("Omega", (m,)), n_work)
-        return [om * jpow[i] for i in range(deg + 1)]
-
-    return block(k + 2, degp), block(k + 1, degq), block(k, degr)
-
-
-def _combination(coeff_blocks, series_blocks) -> QSeries:
-    out = None
-    for coeffs, series in zip(coeff_blocks, series_blocks):
-        for c, s in zip(coeffs, series):
-            if c:
-                term = s.scale(c)
-                out = term if out is None else out + term
-    if out is None:
-        t2 = min(s.trunc2 for blocks in series_blocks for s in blocks)
-        return QSeries.zero(t2)
-    return out
-
-
-def _split(vec, degs):
-    degp, degq, degr = degs
-    np_, nq, nr = degp + 1, degq + 1, degr + 1
-    return tuple(vec[:np_]), tuple(vec[np_ : np_ + nq]), tuple(vec[np_ + nq :])
-
-
-def _stuff_series(params, vec, basis, e2):
-    """(S1, S2) = (g-condition series, Φ-condition series) in stuff space."""
-    p, q, r = _split(vec, _degrees(params))
-    bp, bq, br = basis
-    qj = _combination([q], [bq])
-    rj = _combination([r], [br])
-    pj = _combination([p], [bp])
-    s1 = qj - e2 * rj
-    s2 = pj - (e2 * qj).scale(2) + e2 * e2 * rj
-    return s1, s2
-
-
-def _constraint_rows(params, basis, e2, order_target: int):
-    """Rows of the homogeneous system: one per killed Laurent coefficient."""
-    bp, bq, br = basis
-    nunk = len(bp) + len(bq) + len(br)
-    # S1 columns: Q block gets +ω_{k+1}j^i, R block gets −E2·ω_k j^i
-    s1_cols = (
-        [QSeries.zero(s.trunc2) for s in bp]
-        + list(bq)
-        + [-(e2 * s) for s in br]
-    )
-    # S2 columns: P block +, Q block −2E2·, R block +E2²·
+    omegas = [gen("Omega", n_work, m) for m in (k + 2, k + 1, k)]
+    bp, bq, br = basis = tuple([om * jp for jp in jpow[: deg + 1]] for om, deg in zip(omegas, degs))
+    e2 = gen("E2", n_work)
     e22 = e2 * e2
-    s2_cols = (
-        list(bp)
-        + [-(e2 * s).scale(2) for s in bq]
-        + [(e22 * s) for s in br]
+    return _Setup(
+        degs,
+        n_work,
+        basis,
+        [QSeries.zero(s.trunc2) for s in bp] + bq + [-(e2 * s) for s in br],
+        bp + [-(e2 * s).scale(2) for s in bq] + [e22 * s for s in br],
+        e2,
+        pole.delta_inverse(params.ell, n_work),
     )
-    rows = []
-    low1 = min((s.valuation2() or 0) // 2 for s in s1_cols)
-    for e in range(low1, -params.n + 1):
-        rows.append([col.coef2(2 * e) for col in s1_cols])
-    low2 = min((s.valuation2() or 0) // 2 for s in s2_cols)
-    for e in range(low2, order_target):
-        rows.append([col.coef2(2 * e) for col in s2_cols])
-    return rows, nunk
-
-
-def _normalize(vec) -> list:
-    ints = primitive_integer_vector(list(vec))
-    lead = next((x for x in ints if x), None)
-    if lead is None:
-        raise NoSolution("zero vector escaped the kernel computation")
-    # sign: leading (highest-degree) coefficient of P positive when P ≠ 0,
-    # else first nonzero entry positive
-    return [rational(x) for x in ints]
-
-
-def _fix_sign(p_coeffs, vec):
-    lead = next((c for c in reversed(p_coeffs) if c), None)
-    pivot = lead if lead is not None else next(c for c in vec if c)
-    return [-x for x in vec] if pivot < 0 else list(vec)
 
 
 def solve_plus(d: int, n_trunc: int | None = None) -> PlusSolution:
     """Solve the pole-order system for dimension d; the representative is the
     primitive-integer, P-leading-positive generator of the tight solution
-    line.  When d has the extra degree of freedom, the relaxed two-dimensional
-    space is retained on the solution for apply_origin_constraint."""
+    line (``pole.normalize``).  When d has the extra degree of freedom, the
+    relaxed two-dimensional space is retained for apply_origin_constraint."""
     params = plus_params(d)
     tight_target = 2 * params.n + params.a_k - 1
     if n_trunc is None:
         n_trunc = max(tight_target + params.ell + 8, 16)
-    n_work = _work_order(params, n_trunc)
-    basis = _poly_basis(params, n_work)
-    e2 = generator(GeneratorId("E2"), n_work)
-
-    rows, nunk = _constraint_rows(params, basis, e2, tight_target)
-    kern = kernel_basis(rows, nunk)
-    if len(kern) != 1:
-        raise NoSolution(
-            f"d={d}: tight system has kernel dimension {len(kern)}, expected 1"
-        )
-    vec = _normalize(kern[0])
-    degs = _degrees(params)
-    p, q, r = _split(vec, degs)
-    vec = _fix_sign(p, vec)
-    p, q, r = _split(vec, degs)
-
-    relaxed = None
-    if params.extra_dof:
-        relaxed_rows, _ = _constraint_rows(params, basis, e2, params.ell + 1)
-        rk = kernel_basis(relaxed_rows, nunk)
-        if len(rk) != 2:
-            raise NoSolution(
-                f"d={d}: relaxed system has kernel dimension {len(rk)}, expected 2"
-            )
-        relaxed = tuple(tuple(v) for v in rk)
-
-    return _build_solution(
-        params, (p, q, r), basis, e2, n_work, n_trunc, relaxed, tight=True
+    st = _setup(params, n_trunc)
+    g_rows = pole.rows_below(st.g_cols, 2 * (1 - params.n), 2)
+    vec, relaxed = pole.solve_system(
+        params, st.degs, g_rows, st.phi_cols, 2, 2 * tight_target, 2 * (params.ell + 1)
     )
+    return _build_solution(params, vec, st, n_trunc, relaxed, tight=True)
 
 
-def _build_solution(
-    params, pqr, basis, e2, n_work, n_trunc, relaxed, *, tight: bool
-) -> PlusSolution:
-    p, q, r = pqr
-    vec = list(p) + list(q) + list(r)
-    s1, s2 = _stuff_series(params, vec, basis, e2)
+def _build_solution(params, vec, st: _Setup, n_trunc, relaxed, *, tight: bool) -> PlusSolution:
+    t2w = 2 * st.n_work
+    s1 = pole.lincomb(vec, st.g_cols, t2w)
+    s2 = pole.lincomb(vec, st.phi_cols, t2w)
 
     # pole-order certificates in stuff space
     v1 = s1.valuation2()
@@ -252,71 +147,37 @@ def _build_solution(
                 f"d={params.d}: Φ-series valuation {v2} not exactly q^{target}"
             )
 
-    delta = generator(GeneratorId("Delta"), n_work)
-    dinv = delta.invert() if params.ell == 1 else (delta**params.ell).invert()
-    bp, bq, br = basis
-    t2 = 2 * n_trunc
-
-    def cut(s: QSeries) -> QSeries:
-        if s.trunc2 < t2:
-            raise NoSolution(
-                f"d={params.d}: internal window {s.trunc2} fell below requested {t2}"
-            )
-        return s.truncate2(t2)
-
-    psi1 = cut(_combination([p], [bp]) * dinv)
-    psi2 = cut(_combination([q], [bq]) * dinv)
-    psi3 = cut(_combination([r], [br]) * dinv)
-    phi = cut(s2 * dinv)
+    p, q, r = pole.split(vec, st.degs)
+    slots = [pole.lincomb(c, b, t2w) for c, b in zip((p, q, r), st.basis)]
+    psi1, psi2, psi3, phi = (pole.cut(params.d, s * st.dinv, n_trunc) for s in (*slots, s2))
 
     n_plus = params.n_plus
     a_deep = psi3.coef(-n_plus)
     if not a_deep:
         raise NoSolution(f"d={params.d}: ψ3 has zero coefficient at q^-{n_plus}")
-    g = s1 * dinv
+    g = s1 * st.dinv
     if g.coef(-n_plus):
         raise NoSolution(f"d={params.d}: g-series has a pole of full depth {n_plus}")
 
-    return PlusSolution(params, tuple(p), tuple(q), tuple(r), psi1, psi2, psi3, phi, relaxed)
+    return PlusSolution(params, p, q, r, psi1, psi2, psi3, phi, relaxed)
 
 
 def apply_origin_constraint(sol: PlusSolution, n_trunc: int | None = None) -> PlusSolution:
     """Within the relaxed two-dimensional space, return the unique (up to
     scalar) element whose eigenfunction vanishes at the origin (b_0 = 0, i.e.
     the constant coefficient of the z-coefficient series is zero)."""
+    pole.require_relaxed(sol, "solve_plus")
     params = sol.params
-    if not params.extra_dof:
-        raise ConstraintUnavailable(
-            f"d={params.d} has no extra degree of freedom (d mod 48 = {params.d % 48})"
-        )
-    if sol.relaxed_basis is None:
-        raise ConstraintUnavailable("solution lacks the relaxed basis; re-run solve_plus")
     if n_trunc is None:
         n_trunc = max(2 * params.n + params.a_k + params.ell + 8, 16)
-    n_work = _work_order(params, n_trunc)
-    basis = _poly_basis(params, n_work)
-    e2 = generator(GeneratorId("E2"), n_work)
-    delta = generator(GeneratorId("Delta"), n_work)
-    dinv = (delta**params.ell).invert()
+    st = _setup(params, n_trunc)
 
     def b0_functional(vec):
-        s1, _ = _stuff_series(params, list(vec), basis, e2)
-        return (s1 * dinv).coef(0)
+        return (pole.lincomb(vec, st.g_cols, 2 * st.n_work) * st.dinv).coef(0)
 
-    v1, v2 = sol.relaxed_basis
-    c1, c2 = b0_functional(v1), b0_functional(v2)
-    if not c1 and not c2:
-        raise NoSolution(f"d={params.d}: origin constraint is degenerate on the space")
-    combo = [c2 * a - c1 * b for a, b in zip(v1, v2)]
-    vec = _normalize(combo)
-    degs = _degrees(params)
-    p, _, _ = _split(vec, degs)
-    vec = _fix_sign(p, vec)
-    pqr = _split(vec, degs)
-    out = _build_solution(
-        params, pqr, basis, e2, n_work, n_trunc, sol.relaxed_basis, tight=False
-    )
-    if (out.psi2 - e2 * out.psi3).coef(0):
+    vec = pole.origin_vector(sol, b0_functional, st.degs)
+    out = _build_solution(params, vec, st, n_trunc, sol.relaxed_basis, tight=False)
+    if (out.psi2 - st.e2 * out.psi3).coef(0):
         raise NoSolution(f"d={params.d}: constrained combination still has b_0 ≠ 0")
     return out
 
@@ -331,7 +192,7 @@ def assemble_psi_plus(sol: PlusSolution, n_trunc: int | None = None) -> PsiExpan
     non-principal remainder decays like e^{iπz}.  ``n_trunc`` only trims the
     stored windows — re-solve at a larger order to extend them."""
     params = sol.params
-    e2 = generator(GeneratorId("E2"), sol.psi2.trunc2 // 2)
+    e2 = gen("E2", sol.psi2.trunc2 // 2)
     g = sol.psi2 - e2 * sol.psi3
     phi, psi3 = sol.phi, sol.psi3
     if n_trunc is not None:

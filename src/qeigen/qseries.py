@@ -66,10 +66,6 @@ _ZERO = rational(0)
 _ONE = rational(1)
 
 
-def _num_den(r):
-    return int(r.numerator), int(r.denominator)
-
-
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
@@ -266,11 +262,6 @@ class QSeries:
         for i, x in enumerate(self.c):
             if x:
                 yield self.lo2 + i * self.step, x
-
-    def leading(self):
-        if not self.c:
-            raise ZeroLeadingCoefficient("series vanishes identically to truncation")
-        return self.c[0]
 
     # -- window management -------------------------------------------------
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeigen.forms import (
-    EPoly,
     GeneratorId,
     IdentityViolation,
     InvalidId,
@@ -316,33 +315,6 @@ def test_rankin_cohen_antisymmetry(n):
     lhs = rankin_cohen(f, g, n, 8, 8)
     rhs = rankin_cohen(g, f, n, 8, 8).scale((-1) ** n)
     assert lhs.same_window_values(rhs)
-
-
-def test_epoly_derive_matches_series_derivative():
-    n = 12
-    e4 = eisenstein(4, n)
-    e6 = eisenstein(6, n)
-    p = EPoly([e6, e4, QSeries.one(2 * n), e4])  # degree 3 in X = E2
-    lhs = p.derive().full_series()
-    rhs = p.full_series().derive()
-    assert lhs.same_window_values(rhs)
-
-
-def test_epoly_product_and_quasiform_round_trip():
-    n = 10
-    e4 = eisenstein(4, n)
-    e6 = eisenstein(6, n)
-    z = QSeries.zero(2 * n)
-    qf = QuasiForm(8, e4 * e4, e6, e4)
-    p = EPoly.from_quasiform(qf)
-    back = p.to_quasiform(8)
-    assert back.A == qf.A and back.B == qf.B and back.C == qf.C
-    q = EPoly([e6, e4])
-    prod = (p * q).full_series()
-    assert prod.same_window_values(qf.full_series() * q.full_series())
-    deep = EPoly([z, z, z, QSeries.one(2 * n)])
-    with pytest.raises(ValueError):
-        deep.to_quasiform(6)
 
 
 def test_dimension_formulas():

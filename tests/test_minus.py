@@ -15,8 +15,6 @@ from qeigen.minus import (
     assemble_psi_minus,
     chi_functional_check,
     minus_params,
-    reduce_lambda_powers,
-    s_transform_minus,
     solve_minus,
     to_record,
 )
@@ -193,42 +191,6 @@ def test_s_side_matches_t_side_residual(d):
     two_odd = (sol.f_series * tail + sol.omega_series).odd_part().scale(2)
     w = min(two_odd.trunc2, sol.psiS_series.trunc2)
     assert (two_odd.truncate2(w) - sol.psiS_series.truncate2(w)).is_zero()
-
-
-def test_s_transform_basics():
-    # a lone χ2 at k=0 substitutes to a pure half-integer series
-    s = s_transform_minus(0, (), (), (1,), 12)
-    assert not s.is_zero() and s.even_part().is_zero()
-    # solved d=24 data: the S-side numerator vanishes to exactly 4n + b_k
-    sol = solve_minus(24)
-    s = s_transform_minus(1, sol.X, sol.Y, sol.Z, 10)
-    assert s.valuation2() == 3
-    st = s * gen("Delta", 10).invert()
-    w = min(st.trunc2, sol.psiS_series.trunc2)
-    assert (st.truncate2(w) - sol.psiS_series.truncate2(w)).is_zero()
-
-
-def test_reduce_lambda_powers_degree_six():
-    out = reduce_lambda_powers([0, 0, 0, 0, 0, 0, 1])
-    assert out == [
-        (-1,),
-        (3,),
-        (-6, Fraction(1, 256)),
-        (7, Fraction(-1, 128)),
-        (-6, Fraction(1, 256)),
-        (3,),
-    ]
-
-
-def test_reduce_lambda_powers_low_degree_passthrough():
-    assert reduce_lambda_powers([5, (0, 2)]) == [(5,), (0, 2), (), (), (), ()]
-
-
-def test_reduce_lambda_powers_high_degree():
-    # λ^7 forces a cascaded rewrite; the result is re-verified internally by
-    # series substitution, so reaching the length check means it is exact
-    out = reduce_lambda_powers([0, 0, 0, 0, 0, 0, 0, 1])
-    assert len(out) == 6
 
 
 @pytest.mark.parametrize("k", range(6))
