@@ -8,6 +8,9 @@ timing is reported on stderr only, so it never perturbs the artifact.
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 dimensions outside 4ℤ and constraints that do not apply), 3 inconclusive
 (the series window or precision could not certify the result either way).
+For ``positivity`` and ``verify --check positivity``: any weight verdict
+``nonpositive-found`` gives 1; otherwise any ``scan-incomplete`` gives 3;
+all ``positive-beyond-threshold`` gives 0.
 """
 
 from __future__ import annotations
@@ -84,11 +87,11 @@ def _solve(d: int, sign: str, n_trunc: int, origin_zero: bool):
     if sign == "plus":
         sol = plus.solve_plus(d, n_trunc=n_trunc)
         if origin_zero:
-            sol = plus.apply_origin_constraint(sol)
+            sol = plus.apply_origin_constraint(sol, n_trunc=n_trunc)
         return sol, plus.to_record(sol), plus.assemble_psi_plus
     sol = minus.solve_minus(d, n_trunc=n_trunc)
     if origin_zero:
-        sol = minus.apply_origin_constraint(sol)
+        sol = minus.apply_origin_constraint(sol, n_trunc=n_trunc)
     return sol, minus.to_record(sol), minus.assemble_psi_minus
 
 
@@ -234,6 +237,8 @@ def cmd_verify(args) -> int:
         }[args.check](psi, cfg)
     payload = {"check": args.check, "pass": bool(ok), **payload}
     _emit(RunRecord("verify", _config_echo(args, {"check": args.check}), payload), args.out)
+    if args.check == "positivity":
+        return _positivity_status([payload["verdict"]])
     return 0 if ok else 1
 
 
@@ -269,18 +274,23 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _positivity_status(verdicts) -> int:
+    """1 if any weight is disproved, else 3 if any scan was too short to
+    decide, else 0."""
+    if "nonpositive-found" in verdicts:
+        return 1
+    return 3 if "scan-incomplete" in verdicts else 0
+
+
 def cmd_positivity(args) -> int:
     reports = []
-    all_ok = True
     for w in range(args.wmin, args.wmax + 1, 2):
         key = FamilyKey(kind="f", residue=w % 4)
         members = families.family(key, w, args.trunc + 8)
-        report = positivity.scan(members[-1].form, args.trunc)
-        all_ok &= report.verdict == "positive-beyond-threshold"
-        reports.append(report.to_json())
+        reports.append(positivity.scan(members[-1].form, args.trunc).to_json())
     config = _config_echo(args, {"wmin": args.wmin, "wmax": args.wmax})
     _emit(RunRecord("positivity", config, reports), args.out)
-    return 0 if all_ok else 1
+    return _positivity_status([r["verdict"] for r in reports])
 
 
 def _form_ids(text: str) -> list[tuple[str, GeneratorId]]:
@@ -335,7 +345,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="qeigen",
         description="Radial Fourier eigenfunctions with prescribed zeros: "
         "exact solvers, numeric evaluation, and verification.",
-        epilog="Set QEIGEN_CACHE_DIR to override the generator disk cache.",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

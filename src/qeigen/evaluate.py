@@ -86,7 +86,7 @@ def _ctx(cfg: EvalConfig):
 
 
 def _mpr(x) -> mpmath.mpf:
-    """Exact rational (mpq / Fraction / int) to mpf at working precision."""
+    """Exact rational (Fraction / int) to mpf at working precision."""
     if isinstance(x, (int, mpmath.mpf)):
         return mpmath.mpf(x)
     return mpmath.mpf(int(x.numerator)) / int(x.denominator)

@@ -9,23 +9,20 @@ brackets, and the identity suite that pins all derivative formulas.
 
 Conventions: ' denotes q d/dq = (2πi)⁻¹ d/dz.  All series are produced
 with window O(q^N) for the requested integer N (internally computed with
-head-room so divisions do not shrink the window).
+head-room so divisions do not shrink the window).  :func:`generator`
+memoises each (series, N) in memory for the life of the process; nothing is
+stored on disk.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from pathlib import Path
 
 from .qseries import QSeries, rational
-
-_CACHE_VERSION = 1
 
 
 class InvalidWeight(ValueError):
@@ -305,47 +302,17 @@ _MEMO: dict[tuple[str, int], QSeries] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-def cache_dir() -> Path:
-    return Path(os.environ.get("QEIGEN_CACHE_DIR", "~/.cache/qeigen")).expanduser()
-
-
-def _disk_load(key: str, n: int) -> QSeries | None:
-    path = cache_dir() / f"{key}.N{n}.json"
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("version") != _CACHE_VERSION:
-            return None
-        return QSeries.from_json(payload["series"])
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def _disk_store(key: str, n: int, s: QSeries) -> None:
-    path = cache_dir() / f"{key}.N{n}.json"
-    payload = {"version": _CACHE_VERSION, "id": key, "trunc": n, "series": s.to_json()}
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(path)
-    except OSError:
-        pass  # the disk cache is best-effort
-
-
 def generator(gid: GeneratorId, n: int) -> QSeries:
-    """Exact expansion of a catalog series with window O(q^n)."""
-    key = gid.key()
+    """Exact expansion of a catalog series with window O(q^n), memoised in
+    memory for the life of the process."""
+    key = (gid.key(), n)
     with _MEMO_LOCK:
-        hit = _MEMO.get((key, n))
+        hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    s = _disk_load(key, n)
-    if s is None:
-        s = _build(gid.name, gid.arg, n)
-        _disk_store(key, n, s)
+    s = _build(gid.name, gid.arg, n)
     with _MEMO_LOCK:
-        _MEMO[(key, n)] = s
+        _MEMO[key] = s
     return s
 
 

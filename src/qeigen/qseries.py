@@ -15,28 +15,19 @@ Design rules that the rest of the package relies on:
   the two truncations.  A coefficient beyond the window cannot be read
   (``TruncationTooSmall``), so every ``O(q^m)`` certificate in the higher
   modules is sound by construction.
-* Coefficients are gmpy2 rationals (``fractions.Fraction`` when gmpy2 is
-  unavailable); all arithmetic is exact.
-* Large multiplications go through Kronecker substitution: coefficients
-  are packed into a single big integer, multiplied once by GMP, and
-  unpacked.  The schoolbook path remains as the reference implementation
-  and for small or denominator-heavy inputs.
+* Coefficients are ``fractions.Fraction``; all arithmetic is exact.
+* Every product goes through one kernel, Kronecker substitution: both
+  windows are scaled to integers over the lcm of their denominators,
+  packed into big integers, multiplied, and unpacked.
+* Inversion is Newton iteration b ← b − b·(a·b − 1) on that kernel,
+  doubling the valid length up to the window (Brent–Kung).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterator, Sequence
-
-try:  # gmpy2 is the preferred exact backend
-    from gmpy2 import mpq as _mpq, mpz as _mpz
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = Fraction
-    _mpz = int
-    _HAVE_GMPY2 = False
 
 
 class ZeroLeadingCoefficient(ArithmeticError):
@@ -47,13 +38,11 @@ class TruncationTooSmall(ValueError):
     """A coefficient or constraint was requested beyond the valid window."""
 
 
-def rational(x) -> "_mpq":
-    """Coerce ``x`` (int, str 'a/b', Fraction, mpq) to the backend rational."""
+def rational(x) -> Fraction:
+    """Coerce ``x`` (int, str 'a/b', Fraction) to an exact rational."""
     if isinstance(x, float):
         raise TypeError("refusing to coerce float to exact rational")
-    if isinstance(x, Fraction) and _HAVE_GMPY2:
-        return _mpq(x.numerator, x.denominator)
-    return _mpq(x)
+    return Fraction(x)
 
 
 def rational_str(x) -> str:
@@ -66,29 +55,9 @@ _ZERO = rational(0)
 _ONE = rational(1)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 # ---------------------------------------------------------------------------
-# convolution kernels
+# convolution kernel
 # ---------------------------------------------------------------------------
-
-_KRONECKER_MIN_LEN = 48
-
-
-def _convolve_schoolbook(ca: Sequence, cb: Sequence, want_len: int) -> list:
-    out = [_ZERO] * want_len
-    la = len(ca)
-    for j, bj in enumerate(cb):
-        if not bj:
-            continue
-        top = min(la, want_len - j)
-        for i in range(top):
-            ai = ca[i]
-            if ai:
-                out[i + j] += ai * bj
-    return out
 
 
 def _pack_signed(ints: Sequence[int], nbytes: int) -> tuple[int, int]:
@@ -109,8 +78,8 @@ def _pack_signed(ints: Sequence[int], nbytes: int) -> tuple[int, int]:
 
 
 def _convolve_int_kronecker(ia: Sequence[int], ib: Sequence[int], want_len: int) -> list[int]:
-    """Exact integer convolution via Kronecker substitution (one GMP multiply
-    per sign pair).  Digits are sized so no carry can cross slots."""
+    """Exact integer convolution via Kronecker substitution (one big-integer
+    multiply per sign pair).  Digits are sized so no carry can cross slots."""
     maxa = max((abs(v) for v in ia), default=0)
     maxb = max((abs(v) for v in ib), default=0)
     if maxa == 0 or maxb == 0:
@@ -121,8 +90,8 @@ def _convolve_int_kronecker(ia: Sequence[int], ib: Sequence[int], want_len: int)
     nbytes = (slot_bits + 7) // 8
     ap, an = _pack_signed(ia, nbytes)
     bp, bn = _pack_signed(ib, nbytes)
-    pos = int(_mpz(ap) * _mpz(bp) + _mpz(an) * _mpz(bn))
-    neg = int(_mpz(ap) * _mpz(bn) + _mpz(an) * _mpz(bp))
+    pos = ap * bp + an * bn
+    neg = ap * bn + an * bp
     out_len = min(want_len, len(ia) + len(ib) - 1)
     pb = pos.to_bytes(nbytes * (len(ia) + len(ib)), "little")
     nb = neg.to_bytes(nbytes * (len(ia) + len(ib)), "little")
@@ -134,30 +103,21 @@ def _convolve_int_kronecker(ia: Sequence[int], ib: Sequence[int], want_len: int)
     return out
 
 
+def _scaled(c: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of ``c`` over the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in c))
+    return [x.numerator * (den // x.denominator) for x in c], den
+
+
 def _convolve(ca: Sequence, cb: Sequence, want_len: int) -> list:
     """Exact convolution of rational coefficient windows, truncated to
     ``want_len`` entries."""
     if want_len <= 0:
         return []
-    if min(len(ca), len(cb)) < _KRONECKER_MIN_LEN:
-        return _convolve_schoolbook(ca, cb, want_len)
-    dena = 1
-    for x in ca:
-        dena = _lcm(dena, int(x.denominator))
-        if dena.bit_length() > 512:
-            return _convolve_schoolbook(ca, cb, want_len)
-    denb = 1
-    for x in cb:
-        denb = _lcm(denb, int(x.denominator))
-        if denb.bit_length() > 512:
-            return _convolve_schoolbook(ca, cb, want_len)
-    ia = [int(x.numerator) * (dena // int(x.denominator)) for x in ca]
-    ib = [int(x.numerator) * (denb // int(x.denominator)) for x in cb]
-    raw = _convolve_int_kronecker(ia, ib, want_len)
+    ia, dena = _scaled(ca)
+    ib, denb = _scaled(cb)
     den = dena * denb
-    if den == 1:
-        return [rational(v) for v in raw]
-    return [_mpq(v, den) for v in raw]
+    return [Fraction(v, den) for v in _convolve_int_kronecker(ia, ib, want_len)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +141,7 @@ class QSeries:
         if _raw:
             self.lo2, self.c, self.trunc2, self.step = lo2, list(coeffs), trunc2, step
             return
-        c = [x if isinstance(x, type(_ZERO)) else rational(x) for x in coeffs]
+        c = [x if isinstance(x, Fraction) else rational(x) for x in coeffs]
         # trim leading zeros (advancing lo2 keeps the product-window rule tight)
         i = 0
         while i < len(c) and not c[i]:
@@ -343,7 +303,7 @@ class QSeries:
         return QSeries.const(other, self.trunc2) - self
 
     def scale(self, r) -> "QSeries":
-        r = r if isinstance(r, type(_ZERO)) else rational(r)
+        r = r if isinstance(r, Fraction) else rational(r)
         if not r:
             return QSeries.zero(self.trunc2, self.step)
         return QSeries(self.lo2, [r * x for x in self.c], self.trunc2, self.step, _raw=True)
@@ -390,19 +350,13 @@ class QSeries:
             raise ZeroLeadingCoefficient("cannot invert a series that is zero to truncation")
         v = self.lo2
         length = (self.trunc2 - v + self.step - 1) // self.step
-        a = self.c + [_ZERO] * (length - len(self.c))
-        lead = a[0]
-        inv_lead = _ONE / lead
-        b = [_ZERO] * length
-        b[0] = inv_lead
-        for k in range(1, length):
-            acc = _ZERO
-            top = min(k, len(self.c) - 1)
-            for j in range(1, top + 1):
-                if a[j]:
-                    acc += a[j] * b[k - j]
-            if acc:
-                b[k] = -acc * inv_lead
+        b = [_ONE / self.c[0]]
+        while len(b) < length:
+            m = len(b)
+            m2 = min(2 * m, length)
+            # a·b = 1 + O(q^m): only the next m2 − m terms of the error matter
+            err = _convolve(self.c[:m2], b, m2)[m:]
+            b += [-x for x in _convolve(b, err, m2 - m)]
         return QSeries(-v, b, self.trunc2 - 2 * v, self.step)
 
     def __truediv__(self, other):
@@ -412,7 +366,7 @@ class QSeries:
 
     def derive(self) -> "QSeries":
         """The differential operator q d/dq (each c q^e maps to e c q^e)."""
-        c = [x * _mpq(self.lo2 + i * self.step, 2) for i, x in enumerate(self.c)]
+        c = [x * Fraction(self.lo2 + i * self.step, 2) for i, x in enumerate(self.c)]
         return QSeries(self.lo2, c, self.trunc2, self.step)
 
     def t_map(self) -> "QSeries":
@@ -466,16 +420,6 @@ class QSeries:
             "trunc": self.trunc2,
             "coeffs": [rational_str(x) for x in self.c],
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "QSeries":
-        unit = d["unit"]
-        coeffs = [rational(s) for s in d["coeffs"]]
-        if unit == "1":
-            return cls(2 * d["lo"], coeffs, 2 * d["trunc"], 2)
-        if unit == "1/2":
-            return cls(d["lo"], coeffs, d["trunc"], 1)
-        raise ValueError(f"unknown unit {unit!r}")
 
     def __repr__(self) -> str:
         terms = []

@@ -21,7 +21,6 @@ from qeigen.families import (
     weight_of_dimension,
 )
 from qeigen.forms import gen, log_lambda
-from qeigen.qseries import QSeries
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +209,7 @@ def test_family_records(ladders):
     assert [r["w"] for r in recs] == [8, 12, 16]
     for r in recs:
         assert set(r) == {"w", "A", "B", "C"}
-        back = QSeries.from_json(r["A"])
-        assert back.valuation2() == 0
+        assert r["A"]["lo"] == 0 and r["A"]["coeffs"][0] != "0/1"  # valuation 0
     f_recs = family_records(FamilyKey("f", 0), 16, 24)
-    assert QSeries.from_json(f_recs[0]["B"]).coef(0) == -2  # -2·E6 channel
+    b = f_recs[0]["B"]
+    assert (b["unit"], b["lo"], b["coeffs"][0]) == ("1", 0, "-2/1")  # -2·E6 channel

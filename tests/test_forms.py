@@ -20,7 +20,6 @@ from qeigen.forms import (
     dim_modular,
     eisenstein,
     gen,
-    generator,
     log_lambda,
     log_lambda_S,
     r4_list,
@@ -193,24 +192,6 @@ def test_generator_id_validation():
     with pytest.raises(InvalidId):
         GeneratorId("E4", (2,))
     assert GeneratorId("Omega", (3,)).key() == "Omega_3"
-
-
-def test_generator_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("QEIGEN_CACHE_DIR", str(tmp_path))
-    import qeigen.forms as forms_mod
-
-    forms_mod._MEMO.clear()
-    a = generator(GeneratorId("E4"), 7)
-    files = list(tmp_path.glob("E4.N7.json"))
-    assert files, "disk cache file missing"
-    import json
-
-    payload = json.loads(files[0].read_text())
-    assert payload["version"] == 1
-    forms_mod._MEMO.clear()
-    b = generator(GeneratorId("E4"), 7)
-    assert a == b
-    forms_mod._MEMO.clear()
 
 
 def test_log_lambda_parts():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,10 @@ from qeigen.qseries import (
     TruncationTooSmall,
     ZeroLeadingCoefficient,
     _convolve_int_kronecker,
-    _convolve_schoolbook,
     rational,
     valuation,
 )
+from qeigen.forms import log_lambda
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +45,30 @@ def series(draw, min_len=0, max_len=12, step=None):
 
 def geometric(trunc: int) -> QSeries:
     return QSeries.from_int_coeffs(0, [1] * trunc, trunc)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations (the oracles for the Kronecker kernel and the
+# Newton inversion)
+# ---------------------------------------------------------------------------
+
+
+def schoolbook(ca, cb, want_len):
+    out = [Fraction(0)] * want_len
+    for j, bj in enumerate(cb):
+        for i in range(min(len(ca), want_len - j)):
+            out[i + j] += ca[i] * bj
+    return out
+
+
+def recurrence_inverse(a: QSeries) -> QSeries:
+    """The quadratic recurrence b_k = −(Σ_{j≥1} a_j b_{k−j}) / a_0."""
+    length = (a.trunc2 - a.lo2 + a.step - 1) // a.step
+    c = a.c + [Fraction(0)] * (length - len(a.c))
+    b = [1 / c[0]]
+    for k in range(1, length):
+        b.append(-sum(c[j] * b[k - j] for j in range(1, k + 1)) / c[0])
+    return QSeries(-a.lo2, b, a.trunc2 - 2 * a.lo2, a.step)
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +208,13 @@ def test_odd_even_split():
     assert s.t_map() == s.even_part() - s.odd_part()
 
 
-def test_json_round_trip_integer_and_half():
+def test_to_json_integer_and_half():
     a = QSeries.from_int_coeffs(-1, [1, 744, 196884], 4)
-    d = a.to_json()
-    assert d["unit"] == "1"
-    assert QSeries.from_json(d) == a
+    assert a.to_json() == {
+        "unit": "1", "lo": -1, "trunc": 4, "coeffs": ["1/1", "744/1", "196884/1"]
+    }
     b = QSeries(1, [rational("16"), rational("-128/3")], 6, 1)
-    d2 = b.to_json()
-    assert d2["unit"] == "1/2"
-    b2 = QSeries.from_json(d2)
-    assert b2.same_window_values(b)
+    assert b.to_json() == {"unit": "1/2", "lo": 1, "trunc": 6, "coeffs": ["16/1", "-128/3"]}
 
 
 def test_scale_and_div_by_scalar():
@@ -252,10 +274,13 @@ def test_invert_two_sided(a):
 
 @given(series())
 @settings(max_examples=60, deadline=None)
-def test_json_round_trip_property(a):
-    b = QSeries.from_json(a.to_json())
-    assert b.same_window_values(a)
-    assert b.to_json() == b.to_json()  # determinism
+def test_to_json_lists_the_window(a):
+    d = a.to_json()
+    half = 1 if d["unit"] == "1/2" else 2
+    assert d["unit"] == ("1" if a.step == 2 else "1/2")
+    assert d["lo"] * half == a.lo2 and d["trunc"] * half >= a.trunc2 > (d["trunc"] - 1) * half
+    assert [Fraction(x) for x in d["coeffs"]] == a.c
+    assert all(x == f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in d["coeffs"])
 
 
 @given(series(), st.integers(min_value=0, max_value=5))
@@ -284,8 +309,57 @@ def test_kronecker_matches_schoolbook(ia, ib):
     fast = _convolve_int_kronecker(ia, ib, want)
     ra = [rational(v) for v in ia]
     rb = [rational(v) for v in ib]
-    slow = _convolve_schoolbook(ra, rb, want)
+    slow = schoolbook(ra, rb, want)
     assert [rational(v) for v in fast] == slow
+
+
+@given(series(max_len=47), series(max_len=47))
+@settings(max_examples=60, deadline=None)
+def test_short_products_match_schoolbook(a, b):
+    p = a * b
+    if a.is_zero() or b.is_zero():
+        assert p.is_zero()
+        return
+    if a.step == b.step == 2:
+        step, ca, cb = 2, a.c, b.c
+    else:
+        step, ca, cb = 1, a._with_step1().c, b._with_step1().c
+    want = (p.trunc2 - (a.lo2 + b.lo2) + step - 1) // step
+    expect = QSeries(a.lo2 + b.lo2, schoolbook(ca, cb, want), p.trunc2, step)
+    assert p == expect
+
+
+def test_product_with_wide_denominators():
+    # the log λ tail has denominators 1..2n−1, an lcm far beyond 512 bits
+    tail = log_lambda(240).tail
+    assert len(tail.c) >= 400
+    assert lcm(*(x.denominator for x in tail.c)).bit_length() > 512
+    small = QSeries(0, [rational(v) for v in (3, -1, 0, 7, 2)], tail.trunc2, 1)
+    p = tail * small
+    assert p.lo2 == 1 and p.trunc2 == tail.trunc2
+    for e2 in (1, 2, 5, 100, 401, tail.trunc2 - 1):
+        direct = sum(small.coef2(j) * tail.coef2(e2 - j) for j in range(0, 5) if e2 - j >= 1)
+        assert p.coef2(e2) == direct
+
+
+@pytest.mark.parametrize(
+    "lo2,coeffs,trunc2,step",
+    [
+        (0, [Fraction(3, 7), 1, -2, Fraction(5, 3), 4], 2 * 37, 2),  # rational lead
+        (-2, [1, -24, 252, -1472, Fraction(1, 5)], -2 + 2 * 45, 2),  # pole q^-1
+        (-1, [Fraction(-2, 3), 1, 0, 7, Fraction(1, 2), -3], -1 + 53, 1),  # q^(-1/2)
+        (3, [5, 0, -1, Fraction(9, 4)], 3 + 61, 1),  # q^(3/2), rational lead
+        (0, [1] + [Fraction((-1) ** k, k) for k in range(1, 90)], 2 * 100, 2),
+    ],
+    ids=["integer-rational-lead", "integer-pole", "half-pole", "half-valuation", "long"],
+)
+def test_newton_invert_matches_recurrence(lo2, coeffs, trunc2, step):
+    a = QSeries(lo2, [rational(x) for x in coeffs], trunc2, step)
+    length = (a.trunc2 - a.lo2 + a.step - 1) // a.step
+    assert length & (length - 1)  # not a power of two: the last Newton step is partial
+    inv = a.invert()
+    assert inv == recurrence_inverse(a)
+    assert inv.lo2 == -a.lo2 and inv.trunc2 == a.trunc2 - 2 * a.lo2
 
 
 def test_large_product_uses_kronecker_and_is_exact():
